@@ -1,9 +1,8 @@
 //! E14 (service extension): batch routing front-end throughput.
 //!
-//! `jroute-svc` turns the parallel router into a request service —
+//! `jroute-svc` turns claim-table routing into a request service —
 //! bounded queues, priorities, deadlines, work-stealing dispatch. This
-//! bench measures what the service layer adds on top of raw
-//! `route_parallel`: batch latency for a pure-route burst at several
+//! bench measures batch latency for a pure-route burst at several
 //! worker counts, the deterministic-mode overhead (single consumer,
 //! seeded schedule), and a §5-style reconfiguration burst (unroute +
 //! replace + fresh routes against committed state).

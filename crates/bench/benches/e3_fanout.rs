@@ -9,7 +9,7 @@
 use detrand::DetRng;
 use harness::{bench_group, bench_main, BatchSize, Bench};
 use jroute::maze::{self, MazeConfig, MazeScratch};
-use jroute::{EndPoint, Router};
+use jroute::{EndPoint, Recorder, Router};
 use jroute_bench::SEED;
 use jroute_workloads::fanout_spec;
 use virtex::{Device, Family, RowCol};
@@ -51,6 +51,7 @@ fn without_reuse(dev: &Device, fanout: usize) -> usize {
             |s| used.contains(&s),
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .expect("routable");
         for seg in &r.segments {

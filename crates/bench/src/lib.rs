@@ -11,7 +11,7 @@
 /// Standard seed for all experiment RNGs (reproducibility).
 pub const SEED: u64 = 0x4A52_4F55_5445; // "JROUTE"
 
-/// Worker-count sweep for the scaling experiments (e10/e12/e18),
+/// Worker-count sweep for the scaling experiments (e10/e18/e19/e20),
 /// overridable with the `JROUTE_THREADS` environment variable — a
 /// comma-separated list, e.g. `JROUTE_THREADS=1,2`. Invalid or zero
 /// entries are dropped; an empty or unset override yields `default`.

@@ -55,8 +55,9 @@ pub struct MazeConfig {
     /// Restrict expansion to segments whose canonical origin lies inside
     /// this box (PathFinder-style region pruning). Long lines are exempt
     /// — they exist to escape the neighbourhood. `None` searches the
-    /// whole device. Callers that bound the search should be prepared to
-    /// retry unbounded on failure: a box can cut the only legal detour.
+    /// whole device. Callers that bound the search should retry
+    /// unbounded on failure ([`box_then_device`]): a box can cut the
+    /// only legal detour.
     pub bbox: Option<BBox>,
     /// Weighted-A* focus factor applied to the lookahead estimate
     /// (`f = g + w·h`). At 1 the search is admissible and paths are
@@ -108,8 +109,8 @@ impl Default for MazeConfig {
 /// allocated as untouched zero pages (`vec![0; n]` lowers to
 /// `alloc_zeroed`): constructing a scratch for a large device costs
 /// microseconds and physical memory proportional to the region searches
-/// actually explore, not to the full segment space. That matters to the
-/// parallel router, where every worker owns a scratch per round — an
+/// actually explore, not to the full segment space. That matters to
+/// threaded routing, where every worker owns a scratch per batch — an
 /// eagerly-written map would charge each worker tens of megabytes of
 /// memory traffic before it routed anything. Packing also keeps the hot
 /// relax test (`seen` + `cost`) to a single cache line per neighbour,
@@ -147,9 +148,12 @@ pub struct MazeScratch {
     meters: Option<MazeMeters>,
 }
 
-/// Pre-resolved registry handles for the maze search telemetry.
-#[derive(Debug, Clone)]
-struct MazeMeters {
+/// Pre-resolved registry handles for the telemetry of everything that
+/// searches over a scratch: the maze itself, the Steiner builder and
+/// the claim router's box fallback. Untouched handles stay zero, and
+/// reports skip zero counters.
+#[derive(Debug)]
+pub(crate) struct MazeMeters {
     rec: usize,
     searches: Counter,
     failures: Counter,
@@ -158,6 +162,11 @@ struct MazeMeters {
     prunes: Counter,
     h_evals: Counter,
     expanded: Histo,
+    pub(crate) steiner_builds: Counter,
+    pub(crate) steiner_wins: Counter,
+    pub(crate) steiner_branches: Counter,
+    pub(crate) steiner_reuse_hits: Counter,
+    pub(crate) claim_bbox_fallbacks: Counter,
 }
 
 impl MazeMeters {
@@ -171,6 +180,11 @@ impl MazeMeters {
             prunes: obs.counter("maze.bbox_prunes"),
             h_evals: obs.counter("maze.lookahead_evals"),
             expanded: obs.histogram("maze.nodes_expanded"),
+            steiner_builds: obs.counter("steiner.builds"),
+            steiner_wins: obs.counter("steiner.wins"),
+            steiner_branches: obs.counter("steiner.branches"),
+            steiner_reuse_hits: obs.counter("steiner.reuse_hits"),
+            claim_bbox_fallbacks: obs.counter("parallel.bbox_fallbacks"),
         }
     }
 }
@@ -237,7 +251,7 @@ impl MazeScratch {
     /// Metric handles for `obs`, resolved once and cached on the scratch
     /// (the scratch already has exactly the right lifetime: one per
     /// worker, reused across every search that worker runs).
-    fn meters_for(&mut self, obs: &Recorder) -> &MazeMeters {
+    pub(crate) fn meters_for(&mut self, obs: &Recorder) -> &MazeMeters {
         if self.meters.as_ref().map(|m| m.rec) != Some(obs.id()) {
             self.meters = Some(MazeMeters::resolve(obs));
         }
@@ -319,33 +333,13 @@ pub struct MazeResult {
 ///   whether the sink itself is free.
 /// * `extra_cost(seg)` — additive congestion cost (PathFinder's present +
 ///   history terms); zero for plain routing.
+///
+/// Telemetry goes to `obs`: one `maze.search` span per call (its note is
+/// the node-expansion count), plus nodes-expanded / open-list histograms
+/// and counters. A disabled recorder costs a handful of local integer
+/// increments.
+#[allow(clippy::too_many_arguments)] // the full search contract
 pub fn search(
-    dev: &Device,
-    starts: &[(Segment, u32)],
-    goal: Segment,
-    cfg: &MazeConfig,
-    blocked: impl FnMut(Segment) -> bool,
-    extra_cost: impl FnMut(Segment) -> u32,
-    scratch: &mut MazeScratch,
-) -> Option<MazeResult> {
-    search_obs(
-        dev,
-        starts,
-        goal,
-        cfg,
-        blocked,
-        extra_cost,
-        scratch,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`search`] with telemetry: one `maze.search` span per call (its note
-/// is the node-expansion count), plus nodes-expanded / open-list
-/// histograms and counters. A disabled recorder reduces to plain
-/// `search` at the cost of a handful of local integer increments.
-#[allow(clippy::too_many_arguments)] // mirrors `search` + the recorder
-pub fn search_obs(
     dev: &Device,
     starts: &[(Segment, u32)],
     goal: Segment,
@@ -356,9 +350,6 @@ pub fn search_obs(
     obs: &Recorder,
 ) -> Option<MazeResult> {
     let mut span = obs.span("maze.search");
-    // Cheap Arc clones; resolved through the scratch cache, so the hot
-    // path below never touches the registry lock.
-    let m = scratch.meters_for(obs).clone();
     let dims = dev.dims();
     let space = dev.seg_space();
     let arch = dev.arch();
@@ -408,7 +399,10 @@ pub fn search_obs(
     let mut taps: Vec<Tap> = Vec::with_capacity(4);
     let mut fanout: Vec<Wire> = Vec::with_capacity(40);
     let mut expanded = 0usize;
-    let finish = |expanded: usize,
+    // The handles come from the scratch cache, so recording never
+    // touches the registry lock.
+    let finish = |m: &MazeMeters,
+                  expanded: usize,
                   pushes: u64,
                   pops: u64,
                   prunes: u64,
@@ -431,7 +425,8 @@ pub fn search_obs(
         pops += 1;
         let idx = SegIdx(raw);
         if idx == goal_idx {
-            finish(expanded, pushes, pops, prunes, h_evals, &mut span, true);
+            let m = scratch.meters_for(obs);
+            finish(m, expanded, pushes, pops, prunes, h_evals, &mut span, true);
             return Some(reconstruct(dev, scratch, idx, expanded));
         }
         // Skip entries already expanded at their current (or better)
@@ -443,7 +438,8 @@ pub fn search_obs(
         let g = scratch.cost(idx);
         expanded += 1;
         if expanded > cfg.max_nodes {
-            finish(expanded, pushes, pops, prunes, h_evals, &mut span, false);
+            let m = scratch.meters_for(obs);
+            finish(m, expanded, pushes, pops, prunes, h_evals, &mut span, false);
             return None;
         }
 
@@ -505,8 +501,33 @@ pub fn search_obs(
             }
         }
     }
-    finish(expanded, pushes, pops, prunes, h_evals, &mut span, false);
+    let m = scratch.meters_for(obs);
+    finish(m, expanded, pushes, pops, prunes, h_evals, &mut span, false);
     None
+}
+
+/// The "bounded box, then whole device" retry every router shares.
+///
+/// Runs `attempt` under `cfg`; if that comes up empty inside a region
+/// (`cfg.bbox` set) and `retry()` agrees, runs it once more with the
+/// region dropped. A box can cut the only legal detour, so bounding may
+/// slow a route down but never lose one. `retry` is consulted only after
+/// a bounded miss: it is where callers count the fallback, veto it (a
+/// caller-pinned region, a cancelled request, a wave worker that must
+/// fail fast) or make it stick for their later searches.
+pub fn box_then_device<T>(
+    cfg: &MazeConfig,
+    mut attempt: impl FnMut(&MazeConfig) -> Option<T>,
+    retry: impl FnOnce() -> bool,
+) -> Option<T> {
+    let found = attempt(cfg);
+    if found.is_some() || cfg.bbox.is_none() || !retry() {
+        return found;
+    }
+    attempt(&MazeConfig {
+        bbox: None,
+        ..cfg.clone()
+    })
 }
 
 fn reconstruct(
@@ -572,6 +593,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .expect("route exists");
         assert!(!r.pips.is_empty());
@@ -601,6 +623,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .expect("route exists");
         let hexes = r
@@ -637,6 +660,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .unwrap();
         assert!(r
@@ -661,6 +685,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .unwrap();
         let banned = r1.segments[r1.segments.len() / 2];
@@ -672,6 +697,7 @@ mod tests {
             |s| s == banned,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .expect("alternate route exists");
         assert!(!r2.segments.contains(&banned));
@@ -693,6 +719,7 @@ mod tests {
             |_| true,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         );
         assert!(r.is_none());
     }
@@ -711,6 +738,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .unwrap();
         // Second sink near the far end of the first route: with the whole
@@ -727,6 +755,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .unwrap();
         let r2_scratch = search(
@@ -737,6 +766,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .unwrap();
         assert!(
@@ -781,6 +811,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .expect("route exists");
         let cfg_t = MazeConfig {
@@ -795,6 +826,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .expect("route exists");
         assert!(
@@ -822,6 +854,7 @@ mod tests {
             |_| false,
             |_| 0,
             &mut scratch,
+            &Recorder::disabled(),
         )
         .unwrap();
         let hot = r1.segments[0];
@@ -835,6 +868,7 @@ mod tests {
             |_| false,
             |s| if s == hot { 10_000 } else { 0 },
             &mut scratch,
+            &Recorder::disabled(),
         )
         .unwrap();
         assert!(!r2.segments.contains(&hot));

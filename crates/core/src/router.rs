@@ -36,7 +36,7 @@ use crate::templates_db;
 use crate::trace::{self, Hop, TracedNet};
 use crate::unroute;
 use jbits::{Bitstream, Pip};
-use jroute_obs::{Recorder, Report};
+use jroute_obs::{Counter, Recorder, Report};
 use std::sync::Arc;
 use virtex::segment::Tap;
 use virtex::{template_value, Device, RowCol, Segment, Wire};
@@ -85,15 +85,18 @@ pub struct Remembered {
 /// Forwards raw-JBits configuration traffic into the recorder, so even
 /// writes made behind the router's back (via [`Router::bits_mut`]) show
 /// up in the telemetry.
-struct PipTap(Recorder);
+struct PipTap {
+    set: Counter,
+    cleared: Counter,
+}
 
 impl jbits::ConfigObserver for PipTap {
     fn pip_set(&self, _rc: RowCol, _pip: Pip) {
-        self.0.count("jbits.pips_set", 1);
+        self.set.inc();
     }
 
     fn pip_cleared(&self, _rc: RowCol, _pip: Pip) {
-        self.0.count("jbits.pips_cleared", 1);
+        self.cleared.inc();
     }
 }
 
@@ -147,8 +150,10 @@ impl Router {
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.obs = rec;
         if self.obs.is_enabled() {
-            self.bits
-                .set_observer(Some(Arc::new(PipTap(self.obs.clone()))));
+            self.bits.set_observer(Some(Arc::new(PipTap {
+                set: self.obs.counter("jbits.pips_set"),
+                cleared: self.obs.counter("jbits.pips_cleared"),
+            })));
         } else {
             self.bits.set_observer(None);
         }
@@ -614,7 +619,7 @@ impl Router {
     }
 
     /// Route a high-fanout net as one congestion-aware Steiner tree
-    /// ([`steiner::build_tree_obs`] at criticality zero). `Ok(false)`
+    /// ([`steiner::build_tree`] at criticality zero). `Ok(false)`
     /// means the builder could not reach every sink inside the maze
     /// budget; the caller falls back to the paper's greedy per-sink
     /// loop. Contention on a sink is a hard error, exactly as in
@@ -651,7 +656,7 @@ impl Router {
         let tree = {
             let nets = &self.nets;
             let bits = &self.bits;
-            steiner::build_tree_obs(
+            steiner::build_tree(
                 &self.device,
                 src_seg,
                 &goals,
@@ -750,7 +755,7 @@ impl Router {
         let result = {
             let nets = &self.nets;
             let bits = &self.bits;
-            maze::search_obs(
+            maze::search(
                 &self.device,
                 &starts,
                 goal,

@@ -1,15 +1,14 @@
-//! Work distribution: per-worker work-stealing deques and the
-//! [`Scheduler`] abstraction the parallel router and the batch service
-//! front-end (`jroute-svc`) schedule over.
+//! Work distribution: per-worker work-stealing deques, the wave
+//! executor the negotiated router dispatches over, and the thread budget
+//! the multi-tenant server shares among its tenants.
 //!
-//! The original parallel router fanned each round's pending nets out in
-//! static chunks, one per worker. Net route times vary by orders of
-//! magnitude (a template hit vs. a congested maze search), so chunking
-//! leaves workers idle while the unlucky one drains its tail — the
-//! ROADMAP E12 "work-stealing between workers" item. [`StealDeque`] is
-//! the classic owner-bottom/thief-top deque, hand-rolled over atomics in
-//! safe code; [`StealScheduler`] runs one deque per worker and lets idle
-//! workers steal from the top of their neighbours'.
+//! Net route times vary by orders of magnitude (a template hit vs. a
+//! congested maze search), so static per-worker chunks leave workers idle
+//! while the unlucky one drains its tail. [`StealDeque`] is the classic
+//! owner-bottom/thief-top deque, hand-rolled over atomics in safe code;
+//! [`WaveExec`] runs one deque per worker and lets idle workers steal
+//! from the top of their neighbours', and the batch service front-end
+//! (`jroute-svc`) builds its request scheduler on the same deque.
 //!
 //! Tasks are plain `u64` payloads (indices into a caller-side slice, or
 //! packed `attempts<<32 | index` words in the service layer). That keeps
@@ -153,161 +152,59 @@ impl StealDeque {
     }
 }
 
-/// Aggregate outcome of one [`Scheduler::run`] call.
-#[derive(Debug)]
-pub struct SchedulerRun<R> {
-    /// `(task, result)` pairs, in whatever order workers finished them.
-    pub results: Vec<(u64, R)>,
-    /// Tasks executed on a worker other than the one they were assigned
-    /// to (always 0 for [`ChunkedScheduler`]).
-    pub steals: u64,
-}
-
-/// Strategy for executing a fixed batch of tasks across worker threads.
+/// Work-stealing execution of every task in `tasks` exactly once over
+/// `threads` workers: tasks are striped across one [`StealDeque`] per
+/// worker; each worker drains its own deque bottom-first and, when
+/// empty, sweeps its neighbours' tops. A worker exits once every deque is
+/// empty — no new tasks appear during a run, so an empty sweep is a
+/// proof of completion.
 ///
 /// `init` runs once on each worker thread to build its private state
 /// (maze scratch, obs span, …); `work` is then called for every task the
 /// worker executes. Workers run under `std::thread::scope`, so both may
-/// borrow from the caller's stack.
-pub trait Scheduler {
-    /// Execute every task in `tasks` exactly once over `threads` workers.
-    fn run<S, R, IS, W>(&self, threads: usize, tasks: &[u64], init: IS, work: W) -> SchedulerRun<R>
-    where
-        R: Send,
-        S: Send,
-        IS: Fn(usize) -> S + Sync,
-        W: Fn(&mut S, u64) -> R + Sync;
-}
-
-/// Static assignment: task list split into `threads` contiguous chunks,
-/// one per worker. No coordination after spawn — and no help for a
-/// worker whose chunk happens to hold all the slow tasks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChunkedScheduler;
-
-impl Scheduler for ChunkedScheduler {
-    fn run<S, R, IS, W>(&self, threads: usize, tasks: &[u64], init: IS, work: W) -> SchedulerRun<R>
-    where
-        R: Send,
-        S: Send,
-        IS: Fn(usize) -> S + Sync,
-        W: Fn(&mut S, u64) -> R + Sync,
-    {
-        let threads = threads.max(1);
-        let chunk = tasks.len().div_ceil(threads).max(1);
-        let mut results = Vec::with_capacity(tasks.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (w, part) in tasks.chunks(chunk).enumerate() {
-                let (init, work) = (&init, &work);
-                handles.push(scope.spawn(move || {
-                    let mut state = init(w);
-                    part.iter()
-                        .map(|&task| (task, work(&mut state, task)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                results.extend(h.join().expect("scheduler worker panicked"));
-            }
-        });
-        SchedulerRun { results, steals: 0 }
+/// borrow from the caller's stack. `(task, result)` pairs come back in
+/// whatever order workers finished them.
+fn steal_run<S, R, IS, W>(threads: usize, tasks: &[u64], init: IS, work: W) -> Vec<(u64, R)>
+where
+    R: Send,
+    S: Send,
+    IS: Fn(usize) -> S + Sync,
+    W: Fn(&mut S, u64) -> R + Sync,
+{
+    let threads = threads.max(1).min(tasks.len().max(1));
+    let deques: Vec<StealDeque> = (0..threads)
+        .map(|_| StealDeque::with_capacity(tasks.len().div_ceil(threads)))
+        .collect();
+    // Striped preload: task k on deque k % threads. Thieves steal
+    // top-first, so the stripe order is also each deque's FIFO order.
+    for (k, &task) in tasks.iter().enumerate() {
+        deques[k % threads].push(task).expect("preload fits");
     }
-}
-
-/// Work-stealing assignment: tasks are striped across one [`StealDeque`]
-/// per worker; each worker drains its own deque bottom-first and, when
-/// empty, sweeps its neighbours' tops. A worker exits once every deque is
-/// empty — no new tasks appear during a run, so an empty sweep is a
-/// proof of completion.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StealScheduler;
-
-impl Scheduler for StealScheduler {
-    fn run<S, R, IS, W>(&self, threads: usize, tasks: &[u64], init: IS, work: W) -> SchedulerRun<R>
-    where
-        R: Send,
-        S: Send,
-        IS: Fn(usize) -> S + Sync,
-        W: Fn(&mut S, u64) -> R + Sync,
-    {
-        let threads = threads.max(1).min(tasks.len().max(1));
-        let deques: Vec<StealDeque> = (0..threads)
-            .map(|_| StealDeque::with_capacity(tasks.len().div_ceil(threads)))
-            .collect();
-        // Striped preload: task k on deque k % threads. Thieves steal
-        // top-first, so the stripe order is also each deque's FIFO order.
-        for (k, &task) in tasks.iter().enumerate() {
-            deques[k % threads].push(task).expect("preload fits");
-        }
-        let mut results = Vec::with_capacity(tasks.len());
-        let mut steals = 0u64;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..threads {
-                let (init, work, deques) = (&init, &work, &deques);
-                handles.push(scope.spawn(move || {
-                    let mut state = init(w);
-                    let mut out = Vec::new();
-                    let mut stolen = 0u64;
-                    loop {
-                        let task = deques[w].pop().or_else(|| {
-                            (1..threads).find_map(|off| {
-                                let t = deques[(w + off) % threads].steal();
-                                stolen += u64::from(t.is_some());
-                                t
-                            })
-                        });
-                        match task {
-                            Some(task) => out.push((task, work(&mut state, task))),
-                            None => break,
-                        }
+    let mut results = Vec::with_capacity(tasks.len());
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for w in 0..threads {
+            let (init, work, deques) = (&init, &work, &deques);
+            handles.push(scope.spawn(move || {
+                let mut state = init(w);
+                let mut out = Vec::new();
+                loop {
+                    let task = deques[w].pop().or_else(|| {
+                        (1..threads).find_map(|off| deques[(w + off) % threads].steal())
+                    });
+                    match task {
+                        Some(task) => out.push((task, work(&mut state, task))),
+                        None => break,
                     }
-                    (out, stolen)
-                }));
-            }
-            for h in handles {
-                let (out, stolen) = h.join().expect("scheduler worker panicked");
-                results.extend(out);
-                steals += stolen;
-            }
-        });
-        SchedulerRun { results, steals }
-    }
-}
-
-/// Scheduler selection for [`crate::parallel::ParallelConfig`] and the
-/// service layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Static contiguous chunks ([`ChunkedScheduler`]).
-    Chunked,
-    /// Per-worker deques with stealing ([`StealScheduler`]) — the
-    /// default.
-    #[default]
-    WorkStealing,
-}
-
-impl SchedulerKind {
-    /// Dispatch to the selected scheduler implementation.
-    pub fn run<S, R, IS, W>(
-        self,
-        threads: usize,
-        tasks: &[u64],
-        init: IS,
-        work: W,
-    ) -> SchedulerRun<R>
-    where
-        R: Send,
-        S: Send,
-        IS: Fn(usize) -> S + Sync,
-        W: Fn(&mut S, u64) -> R + Sync,
-    {
-        match self {
-            SchedulerKind::Chunked => ChunkedScheduler.run(threads, tasks, init, work),
-            SchedulerKind::WorkStealing => StealScheduler.run(threads, tasks, init, work),
+                }
+                out
+            }));
         }
-    }
+        for h in handles {
+            results.extend(h.join().expect("scheduler worker panicked"));
+        }
+    });
+    results
 }
 
 /// Wave-barrier dispatch: how the unified negotiated router executes
@@ -327,17 +224,15 @@ impl SchedulerKind {
 pub struct WaveExec {
     /// Worker threads available to a wave (clamped to the wave size).
     pub threads: usize,
-    /// How a threaded wave's tasks are spread over the workers.
-    pub scheduler: SchedulerKind,
     /// Execute every wave inline in task order on the calling thread,
     /// regardless of `threads`.
     pub deterministic: bool,
 }
 
 impl WaveExec {
-    /// Execute one wave. `tasks` must be distinct. Results are returned
-    /// in task-submission order whichever path ran.
-    pub fn run_wave<S, R, IS, W>(&self, tasks: &[u64], init: IS, work: W) -> SchedulerRun<R>
+    /// Execute one wave. `tasks` must be distinct. `(task, result)` pairs
+    /// are returned in task-submission order whichever path ran.
+    pub fn run_wave<S, R, IS, W>(&self, tasks: &[u64], init: IS, work: W) -> Vec<(u64, R)>
     where
         R: Send,
         S: Send,
@@ -346,16 +241,13 @@ impl WaveExec {
     {
         if self.deterministic || self.threads <= 1 || tasks.len() <= 1 {
             let mut state = init(0);
-            return SchedulerRun {
-                results: tasks.iter().map(|&t| (t, work(&mut state, t))).collect(),
-                steals: 0,
-            };
+            return tasks.iter().map(|&t| (t, work(&mut state, t))).collect();
         }
-        let mut run = self.scheduler.run(self.threads, tasks, init, work);
+        let mut results = steal_run(self.threads, tasks, init, work);
         let order: std::collections::HashMap<u64, usize> =
             tasks.iter().enumerate().map(|(k, &t)| (t, k)).collect();
-        run.results.sort_by_key(|(t, _)| order[t]);
-        run
+        results.sort_by_key(|(t, _)| order[t]);
+        results
     }
 }
 
@@ -513,10 +405,15 @@ mod tests {
         assert_eq!(got, (0..n).collect::<Vec<_>>(), "each task exactly once");
     }
 
-    fn exercise(kind: SchedulerKind, threads: usize, n: u64) {
+    /// Run `n` tasks through `run_wave`'s inline path (`deterministic`)
+    /// or its work-stealing path.
+    fn exercise(deterministic: bool, threads: usize, n: u64) {
         let tasks: Vec<u64> = (0..n).collect();
-        let run = kind.run(
+        let exec = WaveExec {
             threads,
+            deterministic,
+        };
+        let results = exec.run_wave(
             &tasks,
             |w| w,
             |&mut w, task| {
@@ -524,27 +421,27 @@ mod tests {
                 task * 2
             },
         );
-        assert_eq!(run.results.len(), tasks.len());
-        let ids: HashSet<u64> = run.results.iter().map(|&(t, _)| t).collect();
+        assert_eq!(results.len(), tasks.len());
+        let ids: HashSet<u64> = results.iter().map(|&(t, _)| t).collect();
         assert_eq!(ids.len(), tasks.len(), "every task ran exactly once");
-        assert!(run.results.iter().all(|&(t, r)| r == t * 2));
+        assert!(results.iter().all(|&(t, r)| r == t * 2));
     }
 
     #[test]
     fn both_schedulers_run_every_task_once() {
-        for kind in [SchedulerKind::Chunked, SchedulerKind::WorkStealing] {
+        for deterministic in [true, false] {
             for threads in [1, 3, 8] {
-                exercise(kind, threads, 100);
+                exercise(deterministic, threads, 100);
             }
         }
     }
 
     #[test]
     fn schedulers_handle_empty_and_tiny_batches() {
-        for kind in [SchedulerKind::Chunked, SchedulerKind::WorkStealing] {
-            exercise(kind, 4, 0);
-            exercise(kind, 4, 1);
-            exercise(kind, 1, 5);
+        for deterministic in [true, false] {
+            exercise(deterministic, 4, 0);
+            exercise(deterministic, 4, 1);
+            exercise(deterministic, 1, 5);
         }
     }
 
@@ -554,10 +451,9 @@ mod tests {
         for (threads, deterministic) in [(1, false), (4, false), (4, true)] {
             let exec = WaveExec {
                 threads,
-                scheduler: SchedulerKind::default(),
                 deterministic,
             };
-            let run = exec.run_wave(
+            let got = exec.run_wave(
                 &tasks,
                 |_| (),
                 |_, t| {
@@ -567,7 +463,6 @@ mod tests {
                     t * 10
                 },
             );
-            let got: Vec<(u64, u64)> = run.results;
             let want: Vec<(u64, u64)> = tasks.iter().map(|&t| (t, t * 10)).collect();
             assert_eq!(got, want, "threads={threads} det={deterministic}");
         }
@@ -607,8 +502,11 @@ mod tests {
         // other workers must take some of them.
         let tasks: Vec<u64> = (0..32).collect();
         let executed_by = Mutex::new(vec![0usize; 32]);
-        let run = StealScheduler.run(
-            4,
+        let exec = WaveExec {
+            threads: 4,
+            deterministic: false,
+        };
+        let results = exec.run_wave(
             &tasks,
             |w| w,
             |&mut w, task| {
@@ -619,9 +517,11 @@ mod tests {
                 task
             },
         );
-        assert_eq!(run.results.len(), 32);
+        assert_eq!(results.len(), 32);
+        // Task k is preloaded on worker k % 4's deque.
+        let executed_by = executed_by.into_inner().unwrap();
         assert!(
-            run.steals > 0,
+            (0..32).any(|k| executed_by[k] != k % 4),
             "a 4x-skewed batch must trigger at least one steal"
         );
     }

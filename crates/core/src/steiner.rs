@@ -149,7 +149,7 @@ fn grow(
             crit,
             ..cfg.clone()
         };
-        let mut r = maze::search_obs(
+        let mut r = maze::search(
             dev,
             &starts,
             goals[i],
@@ -231,7 +231,7 @@ fn nearest_order(dev: &Device, src: Segment, goals: &[Segment], longs: bool) -> 
 /// `None` if either arm fails to route every goal under `cfg` — the
 /// caller retries unbounded or falls back, exactly as for single legs.
 #[allow(clippy::too_many_arguments)]
-pub fn build_tree_obs(
+pub fn build_tree(
     dev: &Device,
     src: Segment,
     goals: &[Segment],
@@ -287,12 +287,13 @@ pub fn build_tree_obs(
     } else {
         greedy
     };
-    obs.counter("steiner.builds").inc();
+    let m = scratch.meters_for(obs);
+    m.steiner_builds.inc();
     if steiner_won {
-        obs.counter("steiner.wins").inc();
+        m.steiner_wins.inc();
     }
-    obs.counter("steiner.branches").add(arm.branches as u64);
-    obs.counter("steiner.reuse_hits").add(arm.reuse_hits as u64);
+    m.steiner_branches.add(arm.branches as u64);
+    m.steiner_reuse_hits.add(arm.reuse_hits as u64);
     Some(SteinerTree {
         pips: arm.pips,
         segments: arm.segments,
@@ -342,7 +343,7 @@ mod tests {
         let dev = dev();
         let (src, sinks) = cluster(&dev);
         let mut scratch = MazeScratch::new(&dev);
-        let t = build_tree_obs(
+        let t = build_tree(
             &dev,
             src,
             &sinks,
@@ -385,7 +386,7 @@ mod tests {
             &Recorder::disabled(),
         )
         .expect("greedy routes");
-        let t = build_tree_obs(
+        let t = build_tree(
             &dev,
             src,
             &sinks,
@@ -409,7 +410,7 @@ mod tests {
         let dev = dev();
         let (src, sinks) = cluster(&dev);
         let mut scratch = MazeScratch::new(&dev);
-        let t = build_tree_obs(
+        let t = build_tree(
             &dev,
             src,
             &sinks,
@@ -425,7 +426,7 @@ mod tests {
         if banned.wire.is_clb_input() {
             return; // picking a pin would block a sink itself
         }
-        let t2 = build_tree_obs(
+        let t2 = build_tree(
             &dev,
             src,
             &sinks,

@@ -4,7 +4,7 @@
 //! router a *service*: cores come and go while the design runs, and each
 //! change is a burst of route / unroute / replace operations whose
 //! latency is application latency. This crate provides that front-end
-//! over the optimistic parallel router in `jroute::parallel`:
+//! over the optimistic claim-table routing in `jroute::parallel`:
 //!
 //! * a bounded submission queue ([`RoutingService::submit`]) with
 //!   backpressure ([`QueueFull`]), per-request ids, priorities and
@@ -151,7 +151,15 @@ struct SvcMeters {
     steals: Counter,
     retries: Counter,
     queue_depth: Gauge,
+    queue_depths: Histo,
     batch_ns: Histo,
+    routed: Counter,
+    unrouted: Counter,
+    replaced: Counter,
+    cancelled: Counter,
+    expired: Counter,
+    congested: Counter,
+    rejected: Counter,
 }
 
 impl SvcMeters {
@@ -162,7 +170,15 @@ impl SvcMeters {
             steals: obs.counter("svc.steals"),
             retries: obs.counter("svc.retries"),
             queue_depth: obs.gauge("svc.queue_depth_now"),
+            queue_depths: obs.histogram("svc.queue_depth"),
             batch_ns: obs.histogram("svc.batch_ns"),
+            routed: obs.counter("svc.routed"),
+            unrouted: obs.counter("svc.unrouted"),
+            replaced: obs.counter("svc.replaced"),
+            cancelled: obs.counter("svc.cancelled"),
+            expired: obs.counter("svc.expired"),
+            congested: obs.counter("svc.congested"),
+            rejected: obs.counter("svc.rejected"),
         }
     }
 }
@@ -357,8 +373,7 @@ impl<'d> RoutingService<'d> {
             ctx: root.ctx(),
         });
         self.next_seq += 1;
-        self.obs
-            .record("svc.queue_depth", self.pending.len() as u64);
+        self.meters.queue_depths.record(self.pending.len() as u64);
         self.meters.queue_depth.set(self.pending.len() as u64);
         Ok(id)
     }
@@ -429,17 +444,18 @@ impl<'d> RoutingService<'d> {
         self.meters.executed.add(stats.executed);
         self.meters.steals.add(stats.steals);
         self.meters.retries.add(stats.retries);
+        let m = &self.meters;
         for (_, o) in &outcomes {
-            let name = match o {
-                RequestOutcome::Routed { .. } => "svc.routed",
-                RequestOutcome::Unrouted { .. } => "svc.unrouted",
-                RequestOutcome::Replaced { .. } => "svc.replaced",
-                RequestOutcome::Cancelled => "svc.cancelled",
-                RequestOutcome::Expired => "svc.expired",
-                RequestOutcome::Congested { .. } => "svc.congested",
-                RequestOutcome::Rejected(_) => "svc.rejected",
-            };
-            self.obs.count(name, 1);
+            match o {
+                RequestOutcome::Routed { .. } => &m.routed,
+                RequestOutcome::Unrouted { .. } => &m.unrouted,
+                RequestOutcome::Replaced { .. } => &m.replaced,
+                RequestOutcome::Cancelled => &m.cancelled,
+                RequestOutcome::Expired => &m.expired,
+                RequestOutcome::Congested { .. } => &m.congested,
+                RequestOutcome::Rejected(_) => &m.rejected,
+            }
+            .inc();
         }
 
         let log = dones
@@ -827,6 +843,27 @@ mod tests {
         assert_eq!(
             report.outcome(un),
             Some(&RequestOutcome::Rejected(Reject::UnknownTarget(999)))
+        );
+        let Some(&RequestOutcome::Routed { net, .. }) = report.outcome(a) else {
+            panic!("route failed: {:?}", report.outcome(a));
+        };
+        // A victim listed twice in one request rejects the request
+        // whole: the net stays live and no claim leaks.
+        let twice = svc
+            .submit(RequestKind::Replace {
+                remove: vec![a, a],
+                add: vec![],
+            })
+            .unwrap();
+        let report = svc.run_batch();
+        assert_eq!(
+            report.outcome(twice),
+            Some(&RequestOutcome::Rejected(Reject::UnknownTarget(a)))
+        );
+        assert_eq!(report.leaked_claims, Some(0));
+        assert!(
+            svc.db().net(net).is_some(),
+            "the victim's net is still live"
         );
         let u1 = svc.submit(RequestKind::Unroute(a)).unwrap();
         let u2 = svc.submit(RequestKind::Unroute(a)).unwrap();

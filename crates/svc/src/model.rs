@@ -16,7 +16,7 @@
 use crate::request::{RequestId, RequestKind};
 use jroute::maze::{self, MazeConfig, MazeScratch};
 use jroute::pathfinder::NetSpec;
-use jroute::{NetDb, NetId};
+use jroute::{NetDb, NetId, Recorder};
 use std::collections::HashMap;
 use virtex::Device;
 
@@ -108,45 +108,38 @@ impl<'d> SequentialModel<'d> {
             .expect("model: source segment already owned");
         // Same bounded-then-unbounded policy as `route_one_claiming`:
         // the model must take byte-identical search decisions.
-        let mut bounded = self.maze.clone();
-        if bounded.bbox.is_none() {
-            bounded.bbox = Some(jroute::parallel::net_search_box(self.dev, spec));
-        }
+        let bounded = MazeConfig {
+            bbox: Some(
+                self.maze
+                    .bbox
+                    .unwrap_or_else(|| jroute::parallel::net_search_box(self.dev, spec)),
+            ),
+            ..self.maze.clone()
+        };
+        let obs = Recorder::disabled();
         let mut starts = vec![(src, 0u32)];
         for sink in &spec.sinks {
             let goal = self
                 .dev
                 .canonicalize(sink.rc, sink.wire)
                 .expect("model: sink wire must exist");
-            let r = {
-                let db = &self.db;
-                let blocked = |seg| db.owner(seg).is_some_and(|o| o != id);
-                maze::search(
-                    self.dev,
-                    &starts,
-                    goal,
-                    &bounded,
-                    blocked,
-                    |_| 0,
-                    &mut self.scratch,
-                )
-                .or_else(|| {
-                    if self.maze.bbox.is_none() {
-                        maze::search(
-                            self.dev,
-                            &starts,
-                            goal,
-                            &self.maze,
-                            blocked,
-                            |_| 0,
-                            &mut self.scratch,
-                        )
-                    } else {
-                        None
-                    }
-                })
-            };
-            let r = r.expect("model: search failed where the service succeeded");
+            let r = maze::box_then_device(
+                &bounded,
+                |mc| {
+                    maze::search(
+                        self.dev,
+                        &starts,
+                        goal,
+                        mc,
+                        |seg| self.db.owner(seg).is_some_and(|o| o != id),
+                        |_| 0,
+                        &mut self.scratch,
+                        &obs,
+                    )
+                },
+                || self.maze.bbox.is_none(),
+            )
+            .expect("model: search failed where the service succeeded");
             for (k, &(rc, pip)) in r.pips.iter().enumerate() {
                 self.db
                     .add_pip(id, rc, pip, r.segments[k])

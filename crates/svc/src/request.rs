@@ -105,7 +105,8 @@ impl CancelToken {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reject {
     /// An `Unroute`/`Replace` victim id is unknown, not yet committed,
-    /// or already targeted by an earlier request in the same batch.
+    /// already targeted by an earlier request in the same batch, or
+    /// listed twice in one request's victims.
     UnknownTarget(RequestId),
     /// A net spec names a wire that does not exist on the device.
     BadWire,

@@ -16,7 +16,7 @@
 use crate::analysis::segment_arrivals;
 use crate::delay::ps_to_units;
 use jroute::maze::{self, MazeConfig, MazeScratch, CRIT_ONE};
-use jroute::{EndPoint, Result, RouteError, Router};
+use jroute::{EndPoint, Recorder, Result, RouteError, Router};
 use virtex::Segment;
 
 /// Route `source` to every sink minimizing per-sink *arrival time*.
@@ -107,6 +107,7 @@ pub fn route_fanout_timing_driven(
                 // `delay_units(wire)` per expansion; no congestion term.
                 |_: Segment| 0,
                 &mut scratch,
+                &Recorder::disabled(),
             )
         }
         .ok_or(RouteError::Unroutable {

@@ -22,6 +22,13 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The benchmark package builds against the library crates by path but is
+# not a workspace member: build and test it here, so an API change that
+# breaks it fails verification rather than the benchmark run.
+echo "==> perfbench: cargo build --release + cargo test"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke: e1_census (tiny budgets via BENCH_* env)"
 BENCH_SAMPLE_SIZE=3 BENCH_MEASURE_MS=200 BENCH_WARMUP_MS=50 \
     cargo bench --offline --bench e1_census
@@ -114,15 +121,15 @@ OBS_SHAPE_CHECK="$PWD/target/obs-json/OBS_quickstart.json" \
     exported_quickstart_json_is_valid_when_pointed_at
 
 # Opt-in bench regression gate: regenerate every experiment the
-# checked-in baseline covers (e1–e20), then diff medians against
-# bench-baseline/, failing on regressions past --max-regress
-# (BENCH_MAX_REGRESS, default 10%).
+# checked-in baseline covers (e1–e20, less the retired e12), then diff
+# medians against bench-baseline/, failing on regressions past
+# --max-regress (BENCH_MAX_REGRESS, default 10%).
 if [[ "${BENCH_BASELINE:-0}" == "1" ]]; then
     echo "==> bench regression gate: e1..e20 vs bench-baseline/"
     for bench in e1_census e2_api_levels e3_fanout e4_template_vs_maze \
         e5_rtr_replace e6_reverse_unroute e7_contention \
         e8_greedy_vs_pathfinder e9_longline_ablation e10_scaling \
-        e11_core_compose e12_parallel e13_timing e14_service \
+        e11_core_compose e13_timing e14_service \
         e15_convergence e16_scenarios e17_obs_overhead e18_partition \
         e19_server e20_timing_driven; do
         BENCH_SAMPLE_SIZE=10 BENCH_MEASURE_MS=1500 BENCH_WARMUP_MS=300 \

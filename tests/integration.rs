@@ -3,10 +3,10 @@
 
 use detrand::DetRng;
 use jbits::{diff, snapshot};
-use jroute::parallel::{route_parallel, ParallelConfig};
 use jroute::pathfinder::{self, PathFinderConfig};
 use jroute::{EndPoint, Pin, PortDir, RouteError, Router};
 use jroute_cores::{relocate, ConstAdder, Counter, Register, RtpCore, StimulusBank};
+use jroute_svc::{ExecMode, RequestKind, RoutingService, ServiceConfig};
 use jroute_workloads::{random_netlist, NetlistParams};
 use virtex::{wire, Device, Family, RowCol};
 use vsim::{LogicSource, Simulator};
@@ -135,18 +135,29 @@ fn parallel_and_pathfinder_agree_with_router_on_light_load() {
             seq_ok += 1;
         }
     }
-    // Parallel router.
-    let par = route_parallel(
+    // Claim-table routing through the threaded batch service.
+    let mut svc = RoutingService::new(
         &dev,
-        &specs,
-        &ParallelConfig {
+        ServiceConfig {
             threads: 4,
+            mode: ExecMode::Threaded,
+            audit: true,
             ..Default::default()
         },
     );
+    let ids: Vec<_> = specs
+        .iter()
+        .map(|s| svc.submit(RequestKind::Route(s.clone())).unwrap())
+        .collect();
+    let report = svc.run_batch();
+    let failed: Vec<_> = ids
+        .iter()
+        .filter(|&&id| !report.outcome(id).is_some_and(|o| o.is_success()))
+        .collect();
     assert_eq!(seq_ok, 8);
-    assert_eq!(par.nets.len(), 8);
-    assert!(par.failed.is_empty());
+    assert_eq!(svc.db().len(), 8);
+    assert!(failed.is_empty(), "failed: {failed:?}");
+    assert_eq!(report.leaked_claims, Some(0));
 }
 
 #[test]

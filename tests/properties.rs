@@ -376,15 +376,18 @@ fn steal_deque_matches_reference_queue() {
 /// and returns one result per task.
 #[test]
 fn work_stealing_scheduler_runs_every_task_once() {
-    use jroute::SchedulerKind;
+    use jroute::schedule::WaveExec;
     use std::sync::atomic::{AtomicU32, Ordering};
     harness::check("work_stealing_scheduler_runs_every_task_once", |rng| {
         let n = rng.gen_range(0usize..200);
         let threads = rng.gen_range(1usize..9);
         let tasks: Vec<u64> = (0..n as u64).collect();
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let run = SchedulerKind::WorkStealing.run(
+        let exec = WaveExec {
             threads,
+            deterministic: false,
+        };
+        let results = exec.run_wave(
             &tasks,
             |_| (),
             |_, t| {
@@ -392,14 +395,14 @@ fn work_stealing_scheduler_runs_every_task_once() {
                 t * 2
             },
         );
-        assert_eq!(run.results.len(), n, "one result per task");
+        assert_eq!(results.len(), n, "one result per task");
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "task {i} execution count");
         }
-        let mut seen: Vec<u64> = run.results.iter().map(|&(t, _)| t).collect();
+        let mut seen: Vec<u64> = results.iter().map(|&(t, _)| t).collect();
         seen.sort_unstable();
         assert_eq!(seen, tasks, "result set covers every task exactly once");
-        for &(t, r) in &run.results {
+        for &(t, r) in &results {
             assert_eq!(r, t * 2, "result paired with the wrong task");
         }
     });
